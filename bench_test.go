@@ -717,6 +717,7 @@ func BenchmarkE9UlmFormats(b *testing.B) {
 	})
 	b.Run("parse-xml", func(b *testing.B) {
 		b.SetBytes(int64(len(xml)))
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := ulm.FromXML(xml); err != nil {
 				b.Fatal(err)
@@ -732,6 +733,14 @@ func BenchmarkE9UlmFormats(b *testing.B) {
 		buf := make([]byte, 0, 256)
 		for i := 0; i < b.N; i++ {
 			buf = ulm.AppendBinary(buf[:0], &rec)
+		}
+	})
+	b.Run("format-xml", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ulm.ToXML(&rec); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

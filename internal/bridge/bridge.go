@@ -351,14 +351,20 @@ func (b *Bridge) relay(f *gateway.Frame) {
 	if tr != nil {
 		t0 = time.Now()
 	}
+	// PublishFrame delivers synchronously, so the frame is counted
+	// before it goes downstream: a consumer reading Stats from inside
+	// its callback finds its own records already counted.
+	b.relayedFrames.Add(1)
+	b.mirrored.Add(uint64(f.Count))
 	if err := b.frameTarget.PublishFrame(f); err != nil {
 		// The target needed the records decoded and they were garbage;
-		// counted here AND at the target, silent at neither.
+		// counted here AND at the target, silent at neither. Nothing
+		// was delivered, so the count taken above is given back.
+		b.relayedFrames.Add(^uint64(0))
+		b.mirrored.Add(-uint64(f.Count))
 		b.relayErrs.Add(1)
 		return
 	}
-	b.relayedFrames.Add(1)
-	b.mirrored.Add(uint64(f.Count))
 	if tr != nil {
 		d := time.Since(t0)
 		tr.Observe("relay", d)
@@ -398,8 +404,8 @@ func (b *Bridge) mirror(sensor string, recs []ulm.Record) {
 		}
 		t0 = time.Now()
 	}
+	b.mirrored.Add(uint64(len(out))) // before delivery, as in relay
 	b.target.PublishBatch(b.opts.Prefix+sensor, out)
-	b.mirrored.Add(uint64(len(out)))
 	if tr != nil {
 		d := time.Since(t0)
 		tr.Observe("relay", d)

@@ -352,6 +352,52 @@ func TestBridgeZeroCopyRelayChain(t *testing.T) {
 	}
 }
 
+// TestBridgeCountsBeforeDelivery: the target delivers inside the
+// bridge's hand-off, so a downstream subscriber reading the bridge's
+// Stats from its callback must find its own records already counted —
+// on the zero-copy relay and on the decoded mirror alike.
+func TestBridgeCountsBeforeDelivery(t *testing.T) {
+	for _, relay := range []bool{true, false} {
+		t.Run(fmt.Sprintf("relay=%v", relay), func(t *testing.T) {
+			remote, srv := startRemote(t)
+			if !relay {
+				srv.SetMaxVersion(1)
+			}
+			tail := gateway.New("tail", nil)
+			br := New(gateway.NewClient("tail-mirrors-remote", srv.Addr()), tail, testOptions())
+			defer br.Close()
+			if !br.WaitConnected(5 * time.Second) {
+				t.Fatal("bridge never connected")
+			}
+			var mu sync.Mutex
+			var n int
+			var late []Stats
+			if _, err := tail.SubscribeBatch(gateway.Request{}, func(recs []ulm.Record) {
+				st := br.Stats()
+				mu.Lock()
+				defer mu.Unlock()
+				n += len(recs)
+				if st.Mirrored < uint64(n) || relay && st.RelayedFrames == 0 {
+					late = append(late, st)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			remote.PublishBatch("cpu@h1", []ulm.Record{mkRec("E", 0, 1), mkRec("E", time.Second, 2)})
+			remote.Publish("cpu@h1", mkRec("E", 2*time.Second, 3))
+			waitCount(t, &mu, &n, 3)
+			mu.Lock()
+			defer mu.Unlock()
+			if len(late) > 0 {
+				t.Fatalf("subscriber saw its records before the bridge counted them: %+v", late)
+			}
+			if st := br.Stats(); relay != (st.RelayedFrames > 0) {
+				t.Fatalf("bridge stats = %+v, want relayed frames only when relaying", st)
+			}
+		})
+	}
+}
+
 // TestBridgeMixedVersionChain: pinning the middle server to the JSON
 // protocol must not break the chain — the downstream bridge falls back
 // to a decoded batch stream per request and records still arrive, just

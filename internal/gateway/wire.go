@@ -136,11 +136,10 @@ func encodeRecord(format string, rec ulm.Record) (string, error) {
 	case FormatULM, "":
 		return rec.String(), nil
 	case FormatXML:
-		b, err := ulm.ToXML(&rec)
-		if err != nil {
-			return "", err
-		}
-		return string(b), nil
+		// The one copy is the string; the element is built on the stack
+		// unless it outgrows the buffer.
+		var buf [512]byte
+		return string(ulm.AppendXML(buf[:0], &rec)), nil
 	case FormatBinary:
 		return base64.StdEncoding.EncodeToString(ulm.AppendBinary(nil, &rec)), nil
 	}
@@ -152,7 +151,7 @@ func decodeRecord(format, payload string) (ulm.Record, error) {
 	case FormatULM, "":
 		return ulm.Parse(payload)
 	case FormatXML:
-		return ulm.FromXML([]byte(payload))
+		return ulm.ParseXML(payload)
 	case FormatBinary:
 		raw, err := base64.StdEncoding.DecodeString(payload)
 		if err != nil {
